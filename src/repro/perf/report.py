@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping
 
 from repro.graph.node import CONV_LIKE, OpKind
 
@@ -122,6 +123,42 @@ class IterationCost:
             if n.name == name:
                 return n
         raise KeyError(name)
+
+    # -- metric summary ----------------------------------------------------
+    @property
+    def metrics(self) -> Mapping[str, float]:
+        """Every :data:`METRICS` column of this cost, read-only.
+
+        Computed on first read and kept, so a warm cost re-walks none of
+        its nodes: the cost must not change after that read. The kept
+        row is left out of the pickled state, so cache entries and pool
+        results are the same bytes whether or not it was read.
+        """
+        row = self.__dict__.get("_metrics")
+        if row is None:
+            row = MappingProxyType({name: fn(self)
+                                    for name, fn in METRICS.items()})
+            self.__dict__["_metrics"] = row
+        return row
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_metrics", None)
+        return state
+
+
+#: Metric column name -> extractor over a priced cost: the metric columns
+#: of the sweep store and of every served result row.
+METRICS: Dict[str, Callable[[IterationCost], float]] = {
+    "total_time_s": lambda c: c.total_time_s,
+    "fwd_time_s": lambda c: c.fwd_time_s,
+    "bwd_time_s": lambda c: c.bwd_time_s,
+    "time_per_image_s": lambda c: c.time_per_image_s,
+    "dram_bytes": lambda c: c.dram_bytes,
+    "fwd_dram_bytes": lambda c: c.fwd_dram_bytes,
+    "bwd_dram_bytes": lambda c: c.bwd_dram_bytes,
+    "non_conv_share": lambda c: c.non_conv_share(),
+}
 
 
 def speedup(baseline: IterationCost, other: IterationCost) -> float:

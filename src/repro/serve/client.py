@@ -18,6 +18,14 @@ server's ``retry_after_s`` hint and a bounded exponential backoff
 ``backoff_max_s``), jittered by a seeded generator so a fleet of
 clients retrying the same shed doesn't re-stampede the server in
 lockstep — deterministically per client, so tests stay exact.
+
+Each calling thread keeps one HTTP/1.1 connection to the server and
+reuses it for every call (the server keeps connections alive). When a
+*reused* connection fails before any byte of the response arrives —
+the server closed it while it sat idle — the call reconnects and sends
+once more; pricing is idempotent, so the resend is safe. A failure on a
+fresh connection propagates. ``close()`` (or leaving a ``with`` block)
+closes every connection the client holds; a later call reconnects.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import threading
 import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -82,6 +91,22 @@ class ServingClient:
         self.backoff_jitter = backoff_jitter
         self.seed = seed
         self._rng = random.Random(f"{seed}:{host}:{port}")
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: List[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call reconnects."""
+        with self._lock:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
+
+    def __enter__(self) -> "ServingClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def backoff_s(self, attempt: int, hint_s: float = 0.0) -> float:
         """Sleep before retry *attempt* (0-based), honoring the server
@@ -95,23 +120,47 @@ class ServingClient:
         return delay
 
     # -- transport -----------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (opened lazily by its first
+        request, and again after a close)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout_s
+            )
+            self._local.conn = conn
+            with self._lock:
+                self._connections.append(conn)
+        return conn
+
     def _request(self, method: str, path: str,
                  payload: Optional[Mapping[str, Any]] = None
                  ) -> Dict[str, Any]:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
+        body = None
+        headers = {}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        conn = self._connection()
+        reused = conn.sock is not None
         try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-                headers["Content-Type"] = "application/json"
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+            except (BrokenPipeError, ConnectionResetError):
+                # No response byte arrived (RemoteDisconnected is a
+                # ConnectionResetError). On a reused connection that is
+                # the server closing it while idle; pricing is idempotent,
+                # so sending once more on a fresh one is safe.
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
             raw = response.read()
-        finally:
-            conn.close()
+        except BaseException:
+            conn.close()  # unknown stream state: the next call reconnects
+            raise
         try:
             data = json.loads(raw.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):

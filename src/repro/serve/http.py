@@ -20,8 +20,14 @@ answers ``200 {"ok": true}`` only while the service's circuit breaker
 is closed — degraded gives ``503`` with a ``Retry-After`` of the
 breaker's remaining reset window. ``POST /price`` accepts an optional
 top-level ``"deadline_s"`` bounding that request's wall time.
-Connections are keep-alive by default (HTTP/1.1 semantics); bodies are
-capped at ``MAX_BODY_BYTES`` (→ ``413``).
+Connections are keep-alive by default (HTTP/1.1 semantics).
+
+The parser is total: a request it cannot frame is answered, then the
+connection closes (the rest of the stream cannot be trusted). A
+malformed request line or a ``Content-Length`` that is not a
+non-negative decimal → ``400``; a request line or header longer than
+``MAX_LINE_BYTES`` → ``431``; a body over ``MAX_BODY_BYTES`` → ``413``,
+without reading it. A client that hangs up mid-request gets no answer.
 """
 
 from __future__ import annotations
@@ -41,13 +47,26 @@ from repro.serve.wire import cells_from_json, result_to_json
 
 #: Request-body cap: a 1M-cell grid request is a client bug, not a query.
 MAX_BODY_BYTES = 8 << 20
+#: Longest request line or header line the server reads (asyncio's
+#: default stream limit).
+MAX_LINE_BYTES = 64 << 10
 
 _STATUS_TEXT = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
-    429: "Too Many Requests", 500: "Internal Server Error",
-    503: "Service Unavailable", 504: "Gateway Timeout",
+    429: "Too Many Requests", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error", 503: "Service Unavailable",
+    504: "Gateway Timeout",
 }
+
+
+class _Unframed(Exception):
+    """A request the parser cannot frame: answered with *status*, then
+    the connection closes."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 def _retry_after_header(retry_after_s: float) -> Dict[str, str]:
@@ -69,7 +88,8 @@ class HttpServer:
         """Bind and listen; returns the bound (host, port) — with
         ``port=0`` the kernel picks a free one (tests/bench use this)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port,
+            limit=MAX_LINE_BYTES,
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -104,7 +124,13 @@ class HttpServer:
             self._connections.add(task)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _Unframed as e:
+                    self._write_response(writer, e.status,
+                                         {"error": str(e)}, {}, False)
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, headers, body, version = request
@@ -120,8 +146,7 @@ class HttpServer:
                 await writer.drain()
                 if not keep_alive:
                     break
-        except (asyncio.IncompleteReadError, ConnectionError,
-                asyncio.LimitOverrunError):
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass  # client went away mid-request: nothing to answer
         except asyncio.CancelledError:
             # Loop shutdown while this keep-alive connection idled: end
@@ -137,34 +162,44 @@ class HttpServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        """Parse one request; ``None`` on clean EOF between requests."""
-        line = await reader.readline()
+        """Parse one request; ``None`` on clean EOF between requests.
+
+        Raises :class:`_Unframed` for a request it cannot frame."""
+        line = await self._read_line(reader)
         if not line:
             return None
-        try:
-            method, path, version = line.decode("ascii").split()
-        except ValueError:
-            raise asyncio.IncompleteReadError(line, None) from None
+        parts = line.decode("latin-1").split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise _Unframed(400, f"malformed request line {line[:80]!r}")
+        method, path, version = parts
         headers: Dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await self._read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length") or "0"
+        # isascii: str.isdigit also accepts digits int() rejects ("²").
+        if not (declared.isascii() and declared.isdigit()):
+            raise _Unframed(400, f"bad Content-Length {declared[:40]!r}")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
-            # Read nothing further; answer and let keep-alive drop.
-            return method, path, {"connection": "close"}, b"__too_large__", \
-                version
+            raise _Unframed(413, f"request body exceeds {MAX_BODY_BYTES} "
+                                 "bytes")
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body, version
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # StreamReader's limit overrun
+            raise _Unframed(431, "request line or header longer than "
+                                 f"{MAX_LINE_BYTES} bytes") from None
+
     async def _dispatch(self, method: str, path: str, body: bytes):
         """Route one request; returns (status, json-payload, extra headers)."""
-        if body == b"__too_large__":
-            return 413, {"error": "request body exceeds "
-                                  f"{MAX_BODY_BYTES} bytes"}, {}
         path = path.split("?", 1)[0]
         if path == "/healthz":
             if method != "GET":

@@ -12,7 +12,8 @@ and the CLI, so a cell serialized anywhere deserializes everywhere:
   grids therefore share cached/in-flight cells per the service's
   coalescing, not per any client-side enumeration;
 * a **result** pairs the echoed cell with its content key and every
-  metric column the sweep store defines (:data:`repro.sweep.store.METRICS`).
+  metric column the sweep store defines (:data:`repro.perf.report.METRICS`),
+  read from the cost's kept metric summary (:attr:`IterationCost.metrics`).
 
 Validation rides the sweep layer's own: unknown models/hardware/
 scenarios/precisions raise :class:`~repro.errors.SweepSpecError` with
@@ -26,7 +27,6 @@ from typing import Any, Dict, List, Mapping, Union
 from repro.errors import SweepSpecError
 from repro.perf.report import IterationCost
 from repro.sweep.spec import AXES, SweepCell, SweepSpec
-from repro.sweep.store import METRICS
 
 #: SweepCell field -> SweepSpec (plural) field, for single-cell validation.
 _AXIS_TO_SPEC_FIELD = {
@@ -157,5 +157,5 @@ def result_to_json(cell: SweepCell, cost: IterationCost) -> Dict[str, Any]:
     return {
         "cell": cell_to_json(cell),
         "key": cell.key(),
-        "metrics": {name: fn(cost) for name, fn in METRICS.items()},
+        "metrics": dict(cost.metrics),
     }

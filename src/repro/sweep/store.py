@@ -15,20 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.errors import SweepSpecError
-from repro.perf.report import IterationCost
+from repro.perf.report import METRICS, IterationCost
 from repro.sweep.spec import AXES, SweepCell
-
-#: Metric column name -> extractor over a priced cell.
-METRICS: Dict[str, Callable[[IterationCost], float]] = {
-    "total_time_s": lambda c: c.total_time_s,
-    "fwd_time_s": lambda c: c.fwd_time_s,
-    "bwd_time_s": lambda c: c.bwd_time_s,
-    "time_per_image_s": lambda c: c.time_per_image_s,
-    "dram_bytes": lambda c: c.dram_bytes,
-    "fwd_dram_bytes": lambda c: c.fwd_dram_bytes,
-    "bwd_dram_bytes": lambda c: c.bwd_dram_bytes,
-    "non_conv_share": lambda c: c.non_conv_share(),
-}
 
 
 @dataclass(frozen=True)
@@ -43,7 +31,7 @@ class SweepRow:
         if column in AXES:
             return self.cell.axis(column)
         if column in METRICS:
-            return METRICS[column](self.cost)
+            return self.cost.metrics[column]
         raise SweepSpecError(
             f"unknown column {column!r}; axes: {AXES}, "
             f"metrics: {tuple(METRICS)}"

@@ -74,7 +74,8 @@ def serving(service):
     thread.start()
     assert started.wait(timeout=30), "server never started"
     try:
-        yield ServingClient(host=server.host, port=server.port)
+        with ServingClient(host=server.host, port=server.port) as client:
+            yield client
     finally:
         holder["loop"].call_soon_threadsafe(holder["task"].cancel)
         thread.join(timeout=30)

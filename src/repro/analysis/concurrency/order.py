@@ -1,9 +1,9 @@
 """Lock-order graph shared by the static checker and the runtime sanitizer.
 
 A node is a *lock class* — a stable string id like
-``sweep.persist:PersistentCache._stripes`` — not a lock instance: two
-threads taking different stripe locks of the same table still exercise the
-same ordering discipline, and deadlock potential lives at the class level
+``sweep.persist:flock`` — not a lock instance: two threads taking the
+flocks of different cache shards still exercise the same ordering
+discipline, and deadlock potential lives at the class level
 (the classic lockdep observation). A directed edge ``A -> B`` means "B was
 acquired while A was held", annotated with a bounded sample of *sites*
 (static: file/line/function; runtime: formatted stack + thread + pid) and
@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 GRAPH_FORMAT = 1
 
 #: Edge-site samples kept per edge — enough to show both stacks of an
-#: inversion without letting a hot stripe lock grow the artifact unboundedly.
+#: inversion without letting a hot shard lock grow the artifact unboundedly.
 MAX_SITES_PER_EDGE = 4
 
 

@@ -14,11 +14,11 @@ Design points, mirroring the static analyzer's model
 (:mod:`repro.analysis.concurrency.static`):
 
 * Ordering is tracked per *lock class* (the ``name`` string, e.g.
-  ``sweep.persist:PersistentCache._stripes``), not per instance — the 16
-  stripe locks share one node, exactly like lockdep classes.
+  ``sweep.persist:flock``), not per instance — the 16 shard flocks of
+  every cache directory share one node, exactly like lockdep classes.
 * Re-entrant re-acquisition of the *same instance* (RLock semantics) adds
   no edge; distinct instances of the same class add no self-edge either
-  (the stripes are never nested by design, and a class-level self-cycle
+  (shard locks are never nested by design, and a class-level self-cycle
   cannot be told apart from benign reentrance without instance-level
   order, which would explode the graph).
 * ``note_acquire``/``note_release`` are module functions so non-object
@@ -37,6 +37,7 @@ CI uploads per PR.
 from __future__ import annotations
 
 import atexit
+import fcntl
 import itertools
 import json
 import os
@@ -49,10 +50,6 @@ from repro.analysis.concurrency.order import LockOrderGraph
 from repro.config import sanitize_artifact_path, sanitize_enabled
 from repro.errors import LockOrderError
 
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-posix
-    fcntl = None  # type: ignore[assignment]
 
 #: Ring-buffer capacity for raw acquire/release events.
 RING_SIZE = 4096
@@ -174,10 +171,9 @@ def _cycle_error(holder: str, name: str, reverse_path: List[str],
 class SanitizedLock:
     """A lock wrapper feeding the order graph; transparent when disabled.
 
-    Wraps an ``RLock`` by default (matching the stripe locks); pass
-    ``inner=threading.Lock()`` for non-reentrant semantics. The order
-    check runs *before* the inner acquire so an inversion raises instead
-    of deadlocking.
+    Wraps an ``RLock`` by default; pass ``inner=threading.Lock()`` for
+    non-reentrant semantics. The order check runs *before* the inner
+    acquire so an inversion raises instead of deadlocking.
     """
 
     __slots__ = ("name", "_inner")
@@ -257,8 +253,7 @@ def dump_artifact(path: Optional[str] = None) -> Optional[str]:
     lock_path = path + ".lock"
     fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
     try:
-        if fcntl is not None:
-            fcntl.flock(fd, fcntl.LOCK_EX)
+        fcntl.flock(fd, fcntl.LOCK_EX)
         merged = mine
         if os.path.exists(path):
             try:

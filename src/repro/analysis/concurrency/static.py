@@ -11,7 +11,7 @@ REPRO-C001     potential lock-order inversion: a cycle in the whole-program
                lexically)
 REPRO-C002     blocking call (``time.sleep``, file I/O, ``fcntl.flock``)
                while holding a lock — stalls every thread contending the
-               stripe
+               lock
 REPRO-C003     blocking call in an ``async def`` body — stalls the whole
                event loop (serve/ is loop-confined by design)
 REPRO-C004     fork / pool dispatch while holding a lock — a forked child
@@ -21,14 +21,14 @@ REPRO-C004     fork / pool dispatch while holding a lock — a forked child
 Lock identification is lexical: a ``with`` (or ``async with``) whose
 context expression's terminal name looks lock-ish (``lock``, ``stripe``,
 ``mutex``, ``semaphore``), a subscript into such a table
-(``self._stripes[shard]``), an alias assigned from either, a call to a
+(``self._locks[shard]``), an alias assigned from either, a call to a
 method that itself acquires locks (``with self._shard_lock(s):`` — the
 callee's transitively-acquired set counts as held in the body), or a
 direct ``fcntl.flock`` call (held for the remainder of its lexical block).
 Lock ids are stable strings, ``<module>:<qualifier>`` — e.g.
-``sweep.persist:PersistentCache._stripes`` — chosen to match the names the
-runtime sanitizer uses, so the static graph and the runtime artifact are
-directly comparable.
+``sweep.persist:flock`` or ``sweep.cache:GraphCache._lock`` — chosen to
+match the names the runtime sanitizer uses, so the static graph and the
+runtime artifact are directly comparable.
 
 The analysis is interprocedural over a conservative call resolution
 (``self.m()`` within the class, bare names within the module,

@@ -25,7 +25,7 @@ from repro.graph.sweeps import Sweep
 
 
 @dataclass(frozen=True)
-class SweepRow:
+class LedgerRow:
     """One ledger entry, annotated with its hosting node."""
 
     host: str
@@ -38,11 +38,11 @@ class SweepRow:
     note: str
 
 
-def _rows_for(node: Node) -> List[SweepRow]:
+def _rows_for(node: Node) -> List[LedgerRow]:
     rows = []
     for phase, sweeps in (("fwd", node.fwd_sweeps), ("bwd", node.bwd_sweeps)):
         for s in sweeps:
-            rows.append(SweepRow(
+            rows.append(LedgerRow(
                 host=node.name, phase=phase, tag=s.tag, tensor=s.tensor,
                 direction=s.direction.value, grad=s.grad,
                 origin=s.origin, note=s.note,
@@ -81,9 +81,9 @@ def chain_nodes(graph: LayerGraph, bn_name: str) -> List[Node]:
     return members
 
 
-def chain_audit(graph: LayerGraph, bn_name: str) -> List[SweepRow]:
+def chain_audit(graph: LayerGraph, bn_name: str) -> List[LedgerRow]:
     """All ledger entries currently hosted by *bn_name*'s neighbourhood."""
-    rows: List[SweepRow] = []
+    rows: List[LedgerRow] = []
     for node in chain_nodes(graph, bn_name):
         rows.extend(_rows_for(node))
     return rows

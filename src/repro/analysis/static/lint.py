@@ -14,9 +14,6 @@ REPRO-DET001   unseeded randomness in ``sweep/`` / ``faults/`` (global
 REPRO-DET002   wall-clock reads (``time.time``, ``datetime.now`` ...) in
                ``sweep/`` / ``faults/`` — same rail; ``monotonic``/``sleep``
                stay legal
-REPRO-LOCK001  ``fcntl.flock`` acquired outside a ``with`` on the stripe
-               RLock (``self._stripes[...]``) — the documented shard-lock
-               discipline of ``sweep/persist.py``
 REPRO-ALLOC001 full-tensor temporary in a blocked/fused kernel hot path
                (``np.*_like``, ``np.empty(x.shape)``, or an elementwise
                ufunc without ``out=``)
@@ -293,60 +290,6 @@ def _rule_det(relpath: str, tree: ast.Module,
                 f"{dotted}() reads the wall clock (determinism rail)"))
 
 
-def _rule_lock001(relpath: str, tree: ast.Module,
-                  findings: List[LintFinding]) -> None:
-    if not relpath.startswith("sweep/"):
-        return
-
-    # Names assigned from ``self._stripes[...]`` — the stripe RLocks.
-    stripe_names: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and _is_stripe_lookup(node.value):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    stripe_names.add(target.id)
-
-    parents: Dict[ast.AST, ast.AST] = {}
-    for parent in ast.walk(tree):
-        for child in ast.iter_child_nodes(parent):
-            parents[child] = parent
-
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if _dotted(node.func) != "fcntl.flock":
-            continue
-        if not _stripe_guarded(node, parents, stripe_names):
-            findings.append(LintFinding(
-                "REPRO-LOCK001", relpath, node.lineno, "",
-                "fcntl.flock acquired outside a `with` on the stripe RLock "
-                "(self._stripes[...]) — violates the shard-lock discipline "
-                "(thread lock before file lock, docs/sweeps.md)"))
-
-
-def _is_stripe_lookup(expr: ast.expr) -> bool:
-    return (isinstance(expr, ast.Subscript)
-            and isinstance(expr.value, ast.Attribute)
-            and expr.value.attr == "_stripes")
-
-
-def _stripe_guarded(call: ast.Call, parents: Dict[ast.AST, ast.AST],
-                    stripe_names: Set[str]) -> bool:
-    node: ast.AST = call
-    while node in parents:
-        node = parents[node]
-        if isinstance(node, ast.With):
-            for item in node.items:
-                ctx = item.context_expr
-                if isinstance(ctx, ast.Name) and ctx.id in stripe_names:
-                    return True
-                if _is_stripe_lookup(ctx):
-                    return True
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return False  # lexical scope ends at the enclosing function
-    return False
-
-
 def _rule_alloc001(relpath: str, tree: ast.Module,
                    findings: List[LintFinding]) -> None:
     if relpath not in ALLOC_SCOPE:
@@ -391,8 +334,7 @@ def _rule_concurrency(relpath: str, tree: ast.Module,
 #: Per-file rules, run by :func:`lint_source`. Whole-program rules
 #: (:data:`_PROGRAM_RULES`) run once per :func:`run_lint` over every
 #: concurrency-scoped tree the walk collected.
-_RULES = (_rule_k001, _rule_det, _rule_lock001, _rule_alloc001,
-          _rule_concurrency)
+_RULES = (_rule_k001, _rule_det, _rule_alloc001, _rule_concurrency)
 
 _PROGRAM_RULES = (_concurrency.program_findings,)
 

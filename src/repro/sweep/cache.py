@@ -127,7 +127,7 @@ class GraphCache:
     the results are content-identical, so the race costs time, never
     correctness. The lock is sanitizer-instrumented (``REPRO_SANITIZE``,
     docs/analysis.md) so any future nesting against the persist-tier
-    stripes shows up in the lock-order graph.
+    shard flocks shows up in the lock-order graph.
     """
 
     persist: Optional[PersistentCache] = None

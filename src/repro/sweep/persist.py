@@ -26,11 +26,13 @@ Design constraints, in order:
 3. **Safe under concurrency — many readers, many writers, many
    processes.** The directory is **sharded by key prefix**
    (``costs/<shard>/<key>.pkl``, 16 shards per kind) and every
-   publication or eviction runs under that shard's **striped lock**: a
-   per-process ``threading`` lock plus — where the platform has it — an
-   ``fcntl.flock`` on ``locks/<shard>.lock``, so threads *and* separate
-   processes sharing one cache directory serialize per shard, never
-   globally. Writes still go to a temp file and publish with
+   publication or eviction runs under that shard's lock: an
+   ``fcntl.flock`` on ``locks/<shard>.lock``, taken through a file
+   descriptor opened for that one acquisition. Flocks on separate open
+   file descriptions exclude each other even within one process, so
+   threads *and* separate processes sharing one cache directory
+   serialize per shard, never globally (the disk tier is POSIX-only).
+   Writes still go to a temp file and publish with
    :func:`os.replace` (readers never observe a partial file, and reads
    need no lock at all), and GC re-checks an entry's mtime under the
    shard lock immediately before unlinking so a concurrently-touched
@@ -53,6 +55,7 @@ Design constraints, in order:
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import os
 import pickle
@@ -69,11 +72,6 @@ from repro import faults
 from repro.analysis.concurrency import sanitizer
 from repro.graph.graph import LayerGraph
 from repro.perf.report import IterationCost
-
-try:  # pragma: no cover - always present on the POSIX CI/dev platforms
-    import fcntl
-except ImportError:  # pragma: no cover - Windows: in-process locks only
-    fcntl = None  # type: ignore[assignment]
 
 #: Bumped on any incompatible change to the entry layout or to the
 #: pickled payload types; old files then read as misses, not errors.
@@ -103,23 +101,11 @@ _LOCK_DIR = "locks"
 #: :meth:`PersistentCache.gc` passes (see ``gc_interval``).
 _GC_STORE_INTERVAL = 64
 
-#: In-process stripe locks, shared by every :class:`PersistentCache`
-#: instance over the same directory (a server session, its pool workers
-#: pre-fork, and any directly-constructed cache must contend on the same
-#: locks, not per-instance ones). Entries for cache roots whose directory
-#: has since been deleted are evicted on the next lookup (see
-#: :func:`_stripes_for`), so a long-lived server cycling tmp cache dirs
-#: cannot leak one stripe list per dir forever.
-#:
-#: Lock names below are the sanitizer's lock-class ids; they match the
-#: static analyzer's naming (docs/analysis.md) so the runtime lock-order
+#: Lock names are the sanitizer's lock-class ids; they match the static
+#: analyzer's naming (docs/analysis.md) so the runtime lock-order
 #: artifact is directly comparable with the lexical graph.
-_STRIPE_LOCK_NAME = "sweep.persist:PersistentCache._stripes"
 _STATS_LOCK_NAME = "sweep.persist:PersistentCache._stats_lock"
 _FLOCK_LOCK_NAME = "sweep.persist:flock"
-_STRIPE_REGISTRY: Dict[str, List[sanitizer.SanitizedLock]] = {}
-_REGISTRY_LOCK = sanitizer.SanitizedLock(
-    "sweep.persist:_REGISTRY_LOCK", threading.Lock())
 
 
 def shard_for(key: str) -> str:
@@ -135,30 +121,13 @@ def shard_for(key: str) -> str:
     return format(zlib.crc32(key.encode("utf-8")) & (NUM_SHARDS - 1), "x")
 
 
-def _stripes_for(root: str) -> List[sanitizer.SanitizedLock]:
-    with _REGISTRY_LOCK:
-        # Evict stripes of roots whose directory is gone: a live cache
-        # implies an existing root (``__post_init__`` creates it), so a
-        # missing directory means every cache over it is done and its
-        # stripes can never again guard anything. Never evict the root
-        # being requested — its directory may race with this lookup.
-        for stale in [r for r in _STRIPE_REGISTRY
-                      if r != root and not os.path.isdir(r)]:
-            del _STRIPE_REGISTRY[stale]
-        locks = _STRIPE_REGISTRY.get(root)
-        if locks is None:
-            locks = [sanitizer.SanitizedLock(_STRIPE_LOCK_NAME)
-                     for _ in range(NUM_SHARDS)]
-            _STRIPE_REGISTRY[root] = locks
-        return locks
-
-
 @dataclass
 class PersistStats:
-    """Disk-tier traffic counters (loads that hit, loads that missed,
-    writes, files rejected as corrupt/incompatible, entries evicted by
-    the size/count caps, quarantine/temp files purged by age, and
-    stores dropped because the disk errored — see ``store_retry_s``)."""
+    """Disk-tier traffic counters (load attempts, loads that missed —
+    rejected files included — writes, files rejected as
+    corrupt/incompatible, entries evicted by the size/count caps,
+    quarantine/temp files purged by age, and stores dropped because the
+    disk errored — see ``store_retry_s``)."""
 
     loads: int = 0
     load_misses: int = 0
@@ -178,7 +147,7 @@ class PersistentCache:
 
     Every entry is a single file ``<kind-dir>/<shard>/<key>.pkl`` —
     sharded by key prefix so concurrent writers and GC contend on
-    per-shard striped locks, never one global lock — holding a pickled
+    per-shard locks, never one global lock — holding a pickled
     envelope ``{format, kind, key, sha256, payload}`` where ``payload``
     is the pickled object and ``sha256`` its checksum. Loads validate
     the whole envelope and return ``None`` on any mismatch.
@@ -225,45 +194,34 @@ class PersistentCache:
             raise ValueError(
                 f"store_retry_s must be >= 0, got {self.store_retry_s}"
             )
-        # Create the root eagerly so "directory exists" is a faithful
-        # liveness signal for the stripe-registry eviction above (stores
-        # would create it lazily anyway). Best-effort: an uncreatable
-        # root degrades to compute-only on the store side, never fatal.
-        with contextlib.suppress(OSError):
-            os.makedirs(self.root, exist_ok=True)
-        self._stripes = _stripes_for(self.root)
 
     # -- paths ---------------------------------------------------------------
     def path_for(self, kind: str, key: str) -> str:
         return os.path.join(self.root, _KIND_DIRS[kind], shard_for(key),
                             f"{key}.pkl")
 
-    # -- striped locking -----------------------------------------------------
+    # -- shard locking -------------------------------------------------------
     @contextlib.contextmanager
     def _shard_lock(self, shard: str) -> Iterator[None]:
-        """Exclusive per-shard critical section: threads via the striped
-        ``RLock``, sibling processes via ``flock`` on the shard's lock
-        file. Lock files are opened per use (fds cached across a fork
-        would alias the lock between parent and pool workers)."""
-        stripe = self._stripes[int(shard, 16) % NUM_SHARDS]
-        with stripe:
-            if fcntl is None:  # pragma: no cover - non-POSIX fallback
-                yield
-                return
-            lock_dir = os.path.join(self.root, _LOCK_DIR)
-            os.makedirs(lock_dir, exist_ok=True)
-            fd = os.open(os.path.join(lock_dir, f"{shard}.lock"),
-                         os.O_CREAT | os.O_RDWR, 0o644)
-            # The sanitizer sees the flock as one lock class acquired
-            # *after* the stripe — announced before blocking so an
-            # inversion raises instead of deadlocking.
-            sanitizer.note_acquire(_FLOCK_LOCK_NAME)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-                yield
-            finally:
-                sanitizer.note_release(_FLOCK_LOCK_NAME)
-                os.close(fd)  # closing the fd releases the flock
+        """Exclusive per-shard critical section: ``flock`` on the shard's
+        lock file, which excludes threads and sibling processes alike.
+        Lock files are opened per use — flocks on separate open file
+        descriptions conflict even within one process, and fds cached
+        across a fork would alias the lock between parent and pool
+        workers. Not re-entrant: no path takes a shard lock it holds."""
+        lock_dir = os.path.join(self.root, _LOCK_DIR)
+        os.makedirs(lock_dir, exist_ok=True)
+        fd = os.open(os.path.join(lock_dir, f"{shard}.lock"),
+                     os.O_CREAT | os.O_RDWR, 0o644)
+        # Announced to the sanitizer before blocking, so an inversion
+        # raises instead of deadlocking.
+        sanitizer.note_acquire(_FLOCK_LOCK_NAME)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            sanitizer.note_release(_FLOCK_LOCK_NAME)
+            os.close(fd)  # closing the fd releases the flock
 
     def _count(self, counter: str, n: int = 1) -> None:
         with self._stats_lock:
@@ -407,8 +365,8 @@ class PersistentCache:
         ``rejected_retention_s``. Returns the number of files removed.
 
         Safe against concurrent sessions and processes: the scan runs
-        lock-free, but each eviction re-stats its file under the shard's
-        striped lock and is **skipped** if the entry was touched (used)
+        lock-free, but each eviction re-stats its file under the shard
+        lock and is **skipped** if the entry was touched (used)
         since the scan — so a stale scan can never evict an entry that
         went hot underneath it. Concurrent removal of a file by another
         process is treated as that file already being gone.

@@ -63,18 +63,19 @@ class TestC002BlockingUnderLock:
         assert rules(found) == ["REPRO-C002"]
 
     def test_flock_under_stripe_flagged(self):
-        # The real persist.py suppresses this via LINT_ALLOWLIST — the
-        # rule itself must still see it.
+        # A file lock blocks: taking one while holding a thread lock (here
+        # one stripe of a striped lock table) is blocking-under-lock like
+        # any other.
         found = file_findings("sweep/fake.py", ast.parse(src("""
             import fcntl
             class Cache:
                 def f(self, fd, shard):
-                    stripe = self._stripes[shard]
+                    stripe = self._stripe[shard]
                     with stripe:
                         fcntl.flock(fd, fcntl.LOCK_EX)
         """)))
         assert rules(found) == ["REPRO-C002"]
-        assert "_stripes" in found[0].message
+        assert "_stripe" in found[0].message
 
     def test_blocking_after_with_block_passes(self):
         found = file_findings("sweep/fake.py", ast.parse(src("""
@@ -298,9 +299,11 @@ class TestRepoLockGraph:
 
     def test_repo_graph_has_documented_edges_and_no_cycles(self):
         graph = build_lock_order_graph(self.scoped_trees())
-        # The documented shard-lock protocol: stripe RLock before flock.
-        assert graph.has_edge("sweep.persist:PersistentCache._stripes",
-                              "sweep.persist:flock")
+        # The documented shard-lock protocol: the flock is the only lock
+        # on a shard, so nothing is ever held when it is taken.
+        flock = "sweep.persist:flock"
+        assert flock in graph.nodes
+        assert [src for src, dst in graph.edges() if dst == flock] == []
         assert graph.cycles() == []
 
     def test_repo_program_findings_clean(self):

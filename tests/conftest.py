@@ -14,7 +14,7 @@ import pytest
 os.environ.setdefault("REPRO_VERIFY_GRAPHS", "1")
 
 # The runtime lock-order sanitizer (docs/analysis.md, "Concurrency
-# analysis") is likewise on for the whole suite: every stripe/flock/cache
+# analysis") is likewise on for the whole suite: every shard-flock/cache
 # lock acquisition feeds the lock-order graph and an inversion raises
 # LockOrderError instead of deadlocking the run.
 os.environ.setdefault("REPRO_SANITIZE", "1")

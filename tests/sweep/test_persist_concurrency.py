@@ -14,16 +14,19 @@ directory concurrently. These tests pin the load-bearing pieces:
 * **caps eventually enforced** — concurrent capped writers converge to
   a directory within the configured bounds.
 
-Workers are real subprocesses (fresh interpreters, fresh lock
-registries — exactly like independent server processes), following the
-``test_determinism.py`` idiom.
+Workers are real subprocesses (fresh interpreters — exactly like
+independent server processes), following the ``test_determinism.py``
+idiom.
 """
 
+import contextlib
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -187,15 +190,53 @@ def test_store_retouches_mtime_so_hot_entries_arent_lru_evicted(cache_dir):
 
 def test_shard_layout_and_stripe_sharing(tmp_path):
     """Entries land under their key-prefix shard, and two cache
-    instances over one directory share the same in-process stripe locks
-    (per-instance locks would not serialize anything)."""
+    instances over one directory share each shard's lock (its flock
+    file): threads storing through either instance exclude each other,
+    with no in-process lock table — at most one thread is ever inside a
+    shard's critical section."""
     for key in ("00aa", "ffbb", "not-hex!"):
         shard = shard_for(key)
         assert len(shard) == 1 and int(shard, 16) < NUM_SHARDS
     assert shard_for("abcd") == "a"
-    a = PersistentCache(str(tmp_path / "dir"))
-    b = PersistentCache(str(tmp_path / "dir"))
-    assert a._stripes is b._stripes
+
+    counter_lock = threading.Lock()
+    holders = {"now": 0, "peak": 0}
+
+    class CountingCache(PersistentCache):
+        @contextlib.contextmanager
+        def _shard_lock(self, shard):
+            with super()._shard_lock(shard):
+                with counter_lock:
+                    holders["now"] += 1
+                    holders["peak"] = max(holders["peak"], holders["now"])
+                try:
+                    time.sleep(0.002)  # widen the window for an overlap
+                    yield
+                finally:
+                    with counter_lock:
+                        holders["now"] -= 1
+
+    a = CountingCache(str(tmp_path / "dir"))
+    b = CountingCache(str(tmp_path / "dir"))
     assert a.path_for("cost", "abcd").endswith(
         os.path.join("costs", "a", "abcd.pkl")
     )
+
+    def writer(cache, t):
+        for i in range(10):
+            cache.store("cost", f"a{t}{i:02d}", _payload(f"a{t}{i:02d}"))
+
+    threads = [threading.Thread(target=writer, args=((a, b)[t % 2], t))
+               for t in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert a.stats.stores + b.stats.stores == 60
+    assert holders["peak"] == 1
